@@ -52,7 +52,7 @@ from repro.core import (
     StatsConsumer,
 )
 from repro.db import Database
-from repro.pipeline import ingest_jobs
+from repro.pipeline import parallel_ingest_jobs
 from repro.pipeline.records import JobRecord
 
 __all__ = [
@@ -88,7 +88,7 @@ class MonitoringSession:
 
     def ingest(self):
         """Map + compute + store metrics for all finished jobs."""
-        return ingest_jobs(self.store, self.cluster.jobs, self.db)
+        return parallel_ingest_jobs(self.store, self.cluster.jobs, self.db)
 
 
 @dataclass
@@ -105,7 +105,7 @@ class CronSession:
         """Flush remaining local logs, then map + compute + store."""
         if final_sync:
             self.cron.final_sync()
-        return ingest_jobs(self.store, self.cluster.jobs, self.db)
+        return parallel_ingest_jobs(self.store, self.cluster.jobs, self.db)
 
 
 def cron_session(

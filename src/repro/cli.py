@@ -173,7 +173,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         batch_size=args.batch_size,
-        chunk_size=args.chunk_size,
         checkpoint=checkpoint,
     )
     db.commit()
@@ -385,7 +384,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         stream = ShardedStreamPipeline(
             sess.broker, shards=args.shards, jobs=sess.cluster.jobs,
             types=types, analytics=analytics,
-            coalesce_points=max(0, args.coalesce_points),
         )
     else:
         stream = StreamPipeline(
@@ -446,13 +444,13 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 print(f"  {group[:-1]} {name}: {g['jobs']} jobs, "
                       f"mean eff {g['mean']:.3f}")
     if args.verify:
-        from repro.pipeline import ingest_jobs
+        from repro.pipeline import parallel_ingest_jobs
 
         # only jobs the batch path ingests are comparable: a job still
         # running at the end of the window is force-drained (truncated)
         # by the stream but skipped entirely by the batch pipeline
         db = Database()
-        result = ingest_jobs(sess.store, sess.cluster.jobs, db)
+        result = parallel_ingest_jobs(sess.store, sess.cluster.jobs, db)
         JobRecord.bind(db)
         mismatches = []
         for rec in JobRecord.objects.all():
@@ -649,8 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="parse worker count (1 = serial)")
     ing.add_argument("--batch-size", type=int, default=200,
                      help="jobs per committed+checkpointed batch")
-    ing.add_argument("--chunk-size", type=int, default=500,
-                     help="rows per bulk-insert executemany chunk")
     ing.add_argument("--executor", default="auto",
                      choices=("auto", "serial", "thread", "process"))
     ing.add_argument("--checkpoint", default="",
@@ -727,10 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--shards", type=int, default=0,
                     help="partition the live feed across a sharded "
                          "exchange (0 = single consumer)")
-    st.add_argument("--coalesce-points", type=int, default=0,
-                    help="buffer at least this many points per shard "
-                         "feed before writing through (0 = write per "
-                         "delivery; sharded mode only)")
     st.add_argument("--analytics", action="store_true",
                     help="attach always-on fleet analytics: feed "
                          "sketches, continuous efficiency scoring, "

@@ -61,15 +61,8 @@ class Manager:
         obj.save()
         return obj
 
-    def bulk_create(
-        self, objs: List["Model"], chunk_size: int = 0
-    ) -> int:
-        """Insert many instances via executemany round trips.
-
-        ``chunk_size`` bounds the rows per executemany call (0 = all
-        in one); large ingest passes chunk their inserts so a single
-        statement never holds the whole batch's row list at once.
-        """
+    def bulk_create(self, objs: List["Model"]) -> int:
+        """Insert many instances in one executemany round trip."""
         if not objs:
             return 0
         model = self.model
@@ -83,9 +76,7 @@ class Manager:
         sql = (
             f"INSERT INTO {model._table} ({', '.join(cols)}) VALUES ({marks})"
         )
-        step = chunk_size if chunk_size and chunk_size > 0 else len(rows)
-        for i in range(0, len(rows), step):
-            model._db().executemany(sql, rows[i : i + step])
+        model._db().executemany(sql, rows)
         model._db().commit()
         return len(rows)
 

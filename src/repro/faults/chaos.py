@@ -30,7 +30,7 @@ import numpy as np
 from repro.cluster import JobSpec, make_app
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.pipeline import accumulate, ingest_jobs, map_jobs
+from repro.pipeline import accumulate, map_jobs, parallel_ingest_jobs
 from repro.pipeline.records import JobRecord
 
 #: slack on the daemon loss bound: broker latency, event ordering and
@@ -178,8 +178,8 @@ def run_chaos(
     report.cron_lost_samples = csess.cron.lost_samples
     report.cron_rsync_failures = csess.cron.rsync_failures
 
-    dres1 = ingest_jobs(dsess.store, dsess.cluster.jobs, dsess.db)
-    dres2 = ingest_jobs(dsess.store, dsess.cluster.jobs, dsess.db)
+    dres1 = parallel_ingest_jobs(dsess.store, dsess.cluster.jobs, dsess.db)
+    dres2 = parallel_ingest_jobs(dsess.store, dsess.cluster.jobs, dsess.db)
     report.daemon_ingested = dres1.ingested
     report.replay_skipped = dres2.skipped_existing
     report.quarantined = {

@@ -4,25 +4,29 @@
 node to job ids.  Metadata describing each job along with a set of
 computed metrics are then ingested into a PostgreSQL database."*
 
-Stages:
+Per job, the pass is:
 
 1. :func:`map_jobs` — stream every host's raw samples out of the
    :class:`~repro.core.store.CentralStore` and bucket them by job id
    (a sample tagged with several jobs lands in each — shared nodes).
-2. :class:`JobAccum` — rollover-corrected per-interval deltas of the
-   canonical quantities, the metrics engine's input representation.
-3. :func:`ingest_jobs` — compute Table I metrics and write one row per
-   job into the database.
+2. :func:`accumulate` → :class:`JobAccum` — rollover-corrected
+   per-interval deltas of the canonical quantities, the metrics
+   engine's input representation.
+3. :func:`~repro.metrics.table1.compute_metrics` and
+   :func:`~repro.metrics.flags.evaluate_flags` — the Table I metrics
+   and §V-A flags that become one database row.
 
-:func:`parallel_ingest_jobs` is the production-scale variant of the
-same pass: per-host raw files are sharded across a worker pool and
+The portal job view, the chaos harness and the stream analyzer use
+these per-job functions directly.  The ingest driver,
+:func:`parallel_ingest_jobs`, runs the same pass over whole arrays:
+per-host raw files are (optionally) sharded across a worker pool and
 parsed into columnar blocks (:class:`~repro.core.rawfile.BlockParser`),
 jobs are accumulated with whole-array NumPy operations
 (:func:`accumulate_blocks`), metrics are evaluated on stacked job
-tensors, and rows reach the database via chunked bulk inserts.  Its
-output is byte-identical to the streaming path at any worker count —
-see ``docs/architecture.md`` for the full data-flow picture and
-``docs/performance.md`` for tuning.
+tensors, and rows reach the database via bulk inserts.  Its output is
+byte-identical to rows built job by job from the per-job functions at
+any worker count — see ``docs/architecture.md`` for the full data-flow
+picture and ``docs/performance.md`` for tuning.
 
 Example
 -------
@@ -63,9 +67,9 @@ from repro.pipeline.accum import (
     accumulate,
     accumulate_blocks,
 )
-from repro.pipeline.ingest import IngestCheckpoint, IngestResult, ingest_jobs
 from repro.pipeline.jobmap import JobData, map_jobs
 from repro.pipeline.parallel import (
+    IngestResult,
     ShardedCheckpoint,
     assemble_jobs,
     parallel_ingest_jobs,
@@ -81,9 +85,7 @@ __all__ = [
     "accumulate",
     "accumulate_blocks",
     "CANONICAL_QUANTITIES",
-    "ingest_jobs",
     "IngestResult",
-    "IngestCheckpoint",
     "JobPickleStore",
     "parallel_ingest_jobs",
     "parse_blocks",

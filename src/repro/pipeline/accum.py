@@ -292,7 +292,7 @@ def accumulate_blocks(
         block, rows = host_rows[h]
         trow = block.times[rows]
         # dedupe repeated timestamps keeping the later sample, exactly
-        # like the stable-sorted dict overwrite in the streaming path
+        # like the stable-sorted dict overwrite in :func:`accumulate`
         order = np.argsort(trow, kind="stable")
         sorted_t = trow[order]
         pos = np.searchsorted(sorted_t, times, side="right") - 1

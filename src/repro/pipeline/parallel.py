@@ -1,12 +1,13 @@
-"""Parallel, batched ingest: fleet-scale raw files → job table.
+"""The ETL pass: raw files → job table, batched and optionally sharded.
 
-The row-at-a-time pipeline (:func:`~repro.pipeline.jobmap.map_jobs` +
-:func:`~repro.pipeline.accum.accumulate` +
-:func:`~repro.pipeline.ingest.ingest_jobs`) is what the paper's
-deployments would run on one thread — and at Comet/Stampede scale
-(1984 nodes × 10-minute cadence) the per-line and per-sample Python
-work is the bottleneck, not collection overhead.  This module is the
-scaled replacement:
+Per-job, the paper's ETL is :func:`~repro.pipeline.jobmap.map_jobs` →
+:func:`~repro.pipeline.accum.accumulate` →
+:func:`~repro.metrics.table1.compute_metrics` →
+:func:`~repro.metrics.flags.evaluate_flags`.  At Comet/Stampede scale
+(1984 nodes × 10-minute cadence) that per-line and per-sample Python
+work is the bottleneck, not collection overhead, so the one ingest
+driver, :func:`parallel_ingest_jobs`, runs the same pass over whole
+arrays:
 
 1. **Shard** the per-host raw files round-robin across ``workers``
    shards and parse each shard with
@@ -22,17 +23,19 @@ scaled replacement:
 3. **Compute** Table I with
    :func:`~repro.metrics.table1.compute_metrics_batch`, stacking
    same-shaped jobs into (jobs, nodes, T-1) arrays.
-4. **Insert** rows with chunked ``bulk_create`` batches, checkpointing
-   each committed batch in a :class:`ShardedCheckpoint`.
+4. **Insert** rows with ``bulk_create`` batches, checkpointing each
+   committed batch in a :class:`ShardedCheckpoint`.
 
 Everything is deterministic: hosts are sharded and merged in sorted
 order, jobs are ingested in sorted order, and all arithmetic follows
-the exact reduction order of the serial path — so a 1-worker and an
-N-worker run produce byte-identical databases, and both match the
-row-at-a-time pipeline bit for bit.  Recovery semantics are those of
-:func:`~repro.pipeline.ingest.ingest_jobs`: idempotent exactly-once
-ingest, per-shard durable checkpoints, and per-host quarantine ledgers
-merged into the store regardless of which worker hit the corruption.
+the exact reduction order of the per-job functions — so a 1-worker and
+an N-worker run produce byte-identical databases, and both match rows
+built job by job from the per-job functions bit for bit.  Ingest is
+idempotent: jobs whose rows already exist (or that a checkpoint lists)
+are skipped, so replaying a pass over redelivered or re-synced raw
+data has exactly-once effect on the job table.  Per-host quarantine
+ledgers are merged into the store regardless of which worker hit the
+corruption.
 """
 
 from __future__ import annotations
@@ -56,11 +59,12 @@ from repro.db.connection import Database
 from repro.metrics.flags import Thresholds, evaluate_flags
 from repro.metrics.table1 import compute_metrics_batch
 from repro.pipeline.accum import JobAccum, accumulate_blocks
-from repro.pipeline.ingest import IngestResult, record_from
 from repro.pipeline.pickles import JobPickleStore
 from repro.pipeline.records import JobRecord
 
 __all__ = [
+    "IngestResult",
+    "record_from",
     "ShardedCheckpoint",
     "JobBlockData",
     "shard_hosts",
@@ -68,6 +72,49 @@ __all__ = [
     "assemble_jobs",
     "parallel_ingest_jobs",
 ]
+
+
+@dataclass
+class IngestResult:
+    """What happened during one ingest pass."""
+
+    ingested: int = 0
+    dropped_short: int = 0
+    #: jobs skipped because they were already ingested (idempotency)
+    skipped_existing: int = 0
+    errors: List[str] = field(default_factory=list)
+    flagged: Dict[str, List[str]] = field(default_factory=dict)
+
+
+def record_from(
+    jobid: str,
+    metrics: Mapping[str, float],
+    job: Optional[Job] = None,
+    flags: Optional[List[str]] = None,
+) -> JobRecord:
+    """Build one JobRecord from computed metrics and job metadata."""
+    kwargs: Dict[str, object] = {"jobid": jobid, "flags": flags or []}
+    if job is not None:
+        kwargs.update(
+            user=job.user,
+            account=job.spec.account,
+            executable=job.executable,
+            job_name=job.spec.name,
+            queue=job.queue,
+            status=job.status,
+            nodes=job.nodes,
+            wayness=job.wayness,
+            submit_time=job.submit_time,
+            start_time=job.start_time or 0,
+            end_time=job.end_time or 0,
+            run_time=job.run_time() or 0,
+            queue_wait=job.queue_wait() or 0,
+            node_hours=job.node_hours() or 0.0,
+        )
+    else:
+        kwargs["user"] = "?"
+    kwargs.update(metrics)
+    return JobRecord(**kwargs)
 
 
 def shard_hosts(hosts: Iterable[str], shards: int) -> List[List[str]]:
@@ -230,11 +277,12 @@ class ShardedCheckpoint:
 
     Jobids are assigned to ``shards`` files by a stable hash
     (``crc32``), and each committed batch updates only the shard files
-    it touches — atomically, via the same write-temp + rename protocol
-    as :class:`~repro.pipeline.ingest.IngestCheckpoint`.  The merged
+    it touches — atomically, via write-temp + rename.  The merged
     view (membership, :meth:`done`) is the union of all shards, so a
     resumed pass — serial or parallel, any worker count — skips
-    exactly the jobs that were durably committed.
+    exactly the jobs that were durably committed.  A corrupt shard
+    file starts that shard over: idempotent ingest makes the re-work
+    safe, just slower.
     """
 
     def __init__(self, root, shards: int = 8) -> None:
@@ -295,23 +343,26 @@ def parallel_ingest_jobs(
     thresholds: Optional[Thresholds] = None,
     create_table: bool = True,
     pickle_store: Optional[JobPickleStore] = None,
-    checkpoint=None,
+    checkpoint: Optional[ShardedCheckpoint] = None,
     skip_existing: bool = True,
     batch_size: int = 200,
     workers: int = 1,
     executor: str = "auto",
-    chunk_size: int = 500,
 ) -> IngestResult:
-    """Batched, sharded ETL pass: store → blocks → metrics → rows.
+    """Full ETL pass: store → blocks → metrics → database rows.
 
-    The parallel counterpart of
-    :func:`~repro.pipeline.ingest.ingest_jobs`, with identical
-    semantics and byte-identical output for any ``workers`` /
-    ``executor`` combination.  ``checkpoint`` may be a
-    :class:`ShardedCheckpoint` or the serial
-    :class:`~repro.pipeline.ingest.IngestCheckpoint` — anything with
-    ``__contains__`` and ``mark_many``.  Rows are committed every
-    ``batch_size`` jobs in ``chunk_size``-row executemany chunks.
+    Only jobs that have *finished* are ingested (running jobs lack an
+    epilog sample and would bias the averages).  When ``pickle_store``
+    is given, each job's accumulation is also materialised as a job
+    pickle so detail views and re-analyses skip the raw parse.  Output
+    is byte-identical for any ``workers`` / ``executor`` combination.
+
+    Recovery semantics: with ``skip_existing`` (default) a job whose
+    row is already in the database is not re-inserted, so replaying the
+    pass has exactly-once effect.  Rows are committed every
+    ``batch_size`` jobs; with a ``checkpoint`` each committed batch is
+    also recorded durably, and a later pass with the same checkpoint
+    skips everything already committed.
     """
     if db is None:
         db = Database()
@@ -322,7 +373,7 @@ def parallel_ingest_jobs(
     JobRecord.bind(db)
     if create_table:
         JobRecord.create_table()
-    with obs.span("ingest.parse", path="parallel", workers=workers):
+    with obs.span("ingest.parse", workers=workers):
         t0 = time.perf_counter()
         blocks = parse_blocks(store, workers=workers, executor=executor)
         stage_seconds.observe(time.perf_counter() - t0, stage="parse")
@@ -347,7 +398,7 @@ def parallel_ingest_jobs(
             obs.counter(
                 "repro_ingest_jobs_skipped_total",
                 "jobs skipped because already ingested (idempotency)",
-            ).inc(path="parallel")
+            ).inc()
             continue
         jd = jobdata[jid]
         job = jd.job
@@ -360,12 +411,12 @@ def parallel_ingest_jobs(
             obs.counter(
                 "repro_ingest_errors_total",
                 "jobs that failed accumulation or metric computation",
-            ).inc(path="parallel")
+            ).inc()
             continue
         obs.counter(
             "repro_ingest_jobs_total",
             "jobs processed through accumulation and metrics",
-        ).inc(path="parallel")
+        ).inc()
         pending.append((jid, job, accum))
     stage_seconds.observe(time.perf_counter() - t0, stage="accumulate")
 
@@ -379,19 +430,19 @@ def parallel_ingest_jobs(
         if not records:
             return
         t0 = time.perf_counter()
-        JobRecord.objects.bulk_create(records, chunk_size=chunk_size)
+        JobRecord.objects.bulk_create(records)
         db.commit()
         stage_seconds.observe(time.perf_counter() - t0, stage="insert")
         result.ingested += len(records)
         obs.counter(
             "repro_ingest_rows_committed_total",
             "job rows committed to the database",
-        ).inc(len(records), path="parallel")
+        ).inc(len(records))
         if checkpoint is not None:
             checkpoint.mark_many(r.jobid for r in records)
         records.clear()
 
-    with obs.span("ingest.run", path="parallel", workers=workers) as run_span:
+    with obs.span("ingest.run", workers=workers) as run_span:
         for (jid, job, accum), metrics in zip(pending, metric_rows):
             if pickle_store is not None:
                 pickle_store.save(accum)

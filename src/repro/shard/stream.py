@@ -32,7 +32,7 @@ pins against :class:`~repro.stream.pipeline.StreamPipeline` exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro import obs
 from repro.broker import Broker, Channel, Delivery
@@ -66,7 +66,7 @@ class _ShardFeed(StreamPipeline):
 
     def __init__(self, broker: Broker, shard: int, tsdb, analyzer,
                  alerts: AlertRouter, retention, types, metric,
-                 jobs=None, analytics=None, coalesce_points: int = 0) -> None:
+                 jobs=None, analytics=None) -> None:
         super().__init__(
             broker, tsdb=tsdb, jobs=jobs, retention=retention, types=types,
             metric=metric, analytics=analytics,
@@ -74,70 +74,6 @@ class _ShardFeed(StreamPipeline):
         self.shard = shard
         self.analyzer = analyzer
         self.alerts = alerts
-        #: >0 buffers per-series columns across deliveries and writes
-        #: them through in batches of at least this many points; 0
-        #: (the default) keeps the plain one-put_many-per-delivery
-        #: behaviour the equivalence suite pins
-        self.coalesce_points = int(coalesce_points)
-        #: (type, device, event) → pending (ts_col, val_col), per-series
-        #: arrival order preserved — which is all the retention tiers
-        #: and the sorted-key query engine depend on
-        self._coal: Dict[Tuple[str, Tuple[str, str, str]], Tuple[list, list]] = {}
-        self._coal_n = 0
-
-    def _write_batch(self, host, batch) -> int:
-        if self.coalesce_points <= 0:
-            return super()._write_batch(host, batch)
-        n = 0
-        for key, (ts_col, val_col) in batch.items():
-            col = self._coal.get((host, key))
-            if col is None:
-                col = self._coal[(host, key)] = ([], [])
-            col[0].extend(ts_col)
-            col[1].extend(val_col)
-            n += len(ts_col)
-        # points are accounted when buffered (flush adds nothing), so
-        # the totals match the uncoalesced pipeline delivery-for-delivery
-        self._coal_n += n
-        self.points += n
-        obs.counter(
-            "repro_stream_points_total",
-            "points written into the live TSDB feed",
-        ).inc(n)
-        if self._coal_n >= self.coalesce_points:
-            self.flush_writes()
-        return n
-
-    def flush_writes(self) -> None:
-        """Write every buffered column through the retention writer.
-
-        Called when the coalesce window fills and at every barrier
-        (query epoch sync, finalize) — after it returns the TSDB holds
-        exactly what the uncoalesced pipeline would hold.
-        """
-        if not self._coal:
-            return
-        pending, self._coal = self._coal, {}
-        self._coal_n = 0
-        flushes = 0
-        for (host, (type_name, device, event)), (ts_col, val_col) in \
-                pending.items():
-            self.writer.put_many(
-                self.metric,
-                {
-                    "host": host,
-                    "type": type_name,
-                    "device": device,
-                    "event": event,
-                },
-                ts_col,
-                val_col,
-            )
-            flushes += 1
-        obs.counter(
-            "repro_shard_stream_coalesced_flushes_total",
-            "coalesced per-series column writes flushed to shard stores",
-        ).inc(flushes, shard=self.shard)
 
     def start(self) -> None:
         if self._started:
@@ -168,7 +104,6 @@ class ShardedStreamPipeline:
         vnodes: int = DEFAULT_VNODES,
         chunk_size: int = CHUNK_POINTS,
         analytics=None,
-        coalesce_points: int = 0,
     ) -> None:
         self.broker = broker
         self.map = ShardMap(shards, vnodes=vnodes)
@@ -197,7 +132,6 @@ class ShardedStreamPipeline:
                 broker, k, self._shardset.stores[k], self.analyzer,
                 self.alerts, retention, types, metric,
                 jobs=jobs, analytics=analytics,
-                coalesce_points=coalesce_points,
             )
             for k in range(shards)
         ]
@@ -242,11 +176,6 @@ class ShardedStreamPipeline:
 
     # -- reads (scatter-gather, same coordinator as batch shards) ------------
     def _sync_epoch(self) -> None:
-        # a read is a write barrier: coalesced columns still buffered
-        # in the feeds must land before the epochs (and the data) are
-        # observed, or a query could miss delivered points
-        for feed in self.feeds:
-            feed.flush_writes()
         # feeds write concurrently with queries; fold the per-store
         # write epochs into the coordinator's so its QueryCache
         # invalidates exactly like a single live store's would
@@ -276,18 +205,12 @@ class ShardedStreamPipeline:
         return max((f.last_seen for f in self.feeds), default=0)
 
     def n_series(self) -> int:
-        for feed in self.feeds:
-            feed.flush_writes()
         return sum(s.n_series() for s in self._shardset.stores.values())
 
     def n_points(self) -> int:
-        for feed in self.feeds:
-            feed.flush_writes()
         return sum(s.n_points() for s in self._shardset.stores.values())
 
     def shard_points(self) -> Dict[int, int]:
-        for feed in self.feeds:
-            feed.flush_writes()
         return {
             k: s.n_points() for k, s in self._shardset.stores.items()
         }
@@ -300,7 +223,6 @@ class ShardedStreamPipeline:
             self.feeds[0]._route(events, self.last_seen, None)
             self.feeds[0]._score_completed(self.last_seen, None)
         for feed in self.feeds:
-            feed.flush_writes()
             feed.writer.flush()
         obs.gauge(
             "repro_stream_jobs_inflight",

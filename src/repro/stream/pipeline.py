@@ -29,7 +29,7 @@ write → alert evaluation (`daemon.publish` → `stream.process` →
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.broker import Broker, Channel, Delivery

@@ -8,7 +8,7 @@ from repro.broker import Broker
 from repro.cluster import Cluster, ClusterConfig, JobSpec, make_app
 from repro.core import CentralStore, Collector, CronMode
 from repro.db import Database
-from repro.pipeline import ingest_jobs
+from repro.pipeline import parallel_ingest_jobs
 from repro.pipeline.records import JobRecord
 
 
@@ -40,7 +40,7 @@ def run_cron(tmp_path, seed=77):
     c.run_for(30 * 3600)
     cron.final_sync()
     db = Database()
-    res = ingest_jobs(store, c.jobs, db)
+    res = parallel_ingest_jobs(store, c.jobs, db)
     return c, store, db, res, jobs
 
 

@@ -12,7 +12,7 @@ from repro import monitoring_session
 from repro.broker import Broker
 from repro.cluster import Cluster, ClusterConfig, JobSpec, JobState, make_app
 from repro.core import CentralStore, Collector, CronMode, DaemonMode, StatsConsumer
-from repro.pipeline import ingest_jobs
+from repro.pipeline import parallel_ingest_jobs
 from repro.db import Database
 from repro.pipeline.records import JobRecord
 from repro.sim.clock import SECONDS_PER_DAY
@@ -51,7 +51,7 @@ def test_cascading_node_failures_cron(tmp_path):
     assert {"c401-101", "c401-102", "c401-103"} <= hosts
     assert cron.lost_samples > 100
     db = Database()
-    res = ingest_jobs(store, c.jobs, db)
+    res = parallel_ingest_jobs(store, c.jobs, db)
     assert res.ingested == 4  # all jobs ran on surviving nodes
     assert res.errors == []
 
@@ -151,6 +151,6 @@ def test_ingest_survives_partially_recorded_job(tmp_path):
     c.fail_node(job.assigned_nodes[0])
     c.run_for(3600)
     db = Database()
-    res = ingest_jobs(store, c.jobs, db)
+    res = parallel_ingest_jobs(store, c.jobs, db)
     assert res.ingested == 0
     assert res.dropped_short == 1

@@ -3,9 +3,10 @@
 The contract under test is the one ``docs/architecture.md`` documents:
 the batched, sharded pipeline is a pure optimisation.  For any worker
 count and executor, ``parallel_ingest_jobs`` must produce a database
-byte-identical to the row-at-a-time ``ingest_jobs`` path, quarantine
-the same corrupt lines, and recover from killed workers and mid-batch
-crashes without losing or duplicating jobs.
+byte-identical to the per-job reference rows
+(:func:`tests.reference_etl.reference_ingest`), quarantine the same
+corrupt lines, and recover from killed workers and mid-batch crashes
+without losing or duplicating jobs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.metrics.table1 import compute_metrics, compute_metrics_batch
 from repro.pipeline import parallel as parallel_mod
 from repro.pipeline.accum import accumulate
-from repro.pipeline.ingest import ingest_jobs
 from repro.pipeline.jobmap import map_jobs
 from repro.pipeline.parallel import (
     ShardedCheckpoint,
@@ -35,6 +35,7 @@ from repro.pipeline.parallel import (
     shard_hosts,
 )
 from repro.pipeline.records import JobRecord
+from tests.reference_etl import reference_ingest
 
 SCHEMAS = {
     "cpu": Schema([SchemaEntry(n, unit="cs") for n in
@@ -91,9 +92,9 @@ def dump(db: Database):
 
 
 def test_parallel_matches_serial_byte_identical(raw_store):
-    """1-worker, N-thread and N-process runs equal the streaming path."""
+    """1-worker, N-thread and N-process runs equal the per-job oracle."""
     reference = Database()
-    ref_result = ingest_jobs(raw_store, None, reference)
+    ref_result = reference_ingest(raw_store, None, reference)
     assert ref_result.ingested == 2
     ref_dump = dump(reference)
 
@@ -153,9 +154,9 @@ def test_quarantine_merged_under_parallelism(raw_store):
     assert parallel_store.quarantine_counts() == expected
     assert (parallel_store.root / "quarantine" / f"{victim}.bad").exists()
 
-    # and the damaged store still ingests identically on both paths
+    # and the damaged store still ingests identically to the oracle
     db_a, db_b = Database(), Database()
-    ingest_jobs(CentralStore(raw_store.root), None, db_a)
+    reference_ingest(CentralStore(raw_store.root), None, db_a)
     parallel_ingest_jobs(CentralStore(raw_store.root), None, db_b,
                          workers=3, executor="thread")
     assert dump(db_a) == dump(db_b)
@@ -198,11 +199,11 @@ def test_checkpoint_resume_after_midbatch_crash(raw_store, tmp_path,
     real_bulk_create = JobRecord.objects.bulk_create
     calls = {"n": 0}
 
-    def flaky_bulk_create(objs, chunk_size=0):
+    def flaky_bulk_create(objs):
         calls["n"] += 1
         if calls["n"] > 1:
             raise RuntimeError("simulated crash after first batch")
-        return real_bulk_create(objs, chunk_size=chunk_size)
+        return real_bulk_create(objs)
 
     monkeypatch.setattr(JobRecord.objects, "bulk_create", flaky_bulk_create)
     with pytest.raises(RuntimeError, match="simulated crash"):
@@ -271,7 +272,7 @@ def test_sigkilled_process_worker_is_retried(raw_store, monkeypatch):
     assert sorted(blocks) == sorted(reference)
 
     db_a, db_b = Database(), Database()
-    ingest_jobs(CentralStore(raw_store.root), None, db_a)
+    reference_ingest(CentralStore(raw_store.root), None, db_a)
     monkeypatch.setattr(parallel_mod, "_parse_shard", suicidal_shard)
     parallel_ingest_jobs(CentralStore(raw_store.root), None, db_b,
                          workers=2, executor="process")

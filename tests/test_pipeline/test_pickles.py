@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.metrics import compute_metrics
-from repro.pipeline import JobPickleStore, accumulate, ingest_jobs, map_jobs
+from repro.pipeline import (
+    JobPickleStore,
+    accumulate,
+    map_jobs,
+    parallel_ingest_jobs,
+)
 from repro.db import Database
 from tests.test_metrics.test_table1 import make_accum
 
@@ -83,7 +88,7 @@ def test_version_mismatch_rejected(tmp_path):
 def test_ingest_writes_pickles(monitored_run, tmp_path):
     pickles = JobPickleStore(tmp_path)
     db = Database()
-    res = ingest_jobs(
+    res = parallel_ingest_jobs(
         monitored_run.store, monitored_run.cluster.jobs, db,
         pickle_store=pickles,
     )

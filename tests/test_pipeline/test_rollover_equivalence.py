@@ -1,8 +1,8 @@
-"""Rollover-storm equivalence: streaming vs batched ingest.
+"""Rollover-storm equivalence: per-job reference vs batched ingest.
 
-ISSUE satellite: with counters wrapping *and* a mid-job node reboot
-zeroing registers, the streaming row-at-a-time pipeline and the
-parallel batched pipeline must still produce byte-identical databases
+With counters wrapping *and* a mid-job node reboot zeroing registers,
+rows built job by job from the per-job functions and the batched
+``parallel_ingest_jobs`` must still produce byte-identical databases
 at any worker count — both delegate rollover/reset classification to
 the one shared policy in ``repro.hardware.counters``.
 """
@@ -16,13 +16,13 @@ from repro.core.store import CentralStore
 from repro.db import Database
 from repro.hardware.devices.base import Schema, SchemaEntry
 from repro.pipeline.accum import accumulate
-from repro.pipeline.ingest import ingest_jobs
 from repro.pipeline.jobmap import map_jobs
 from repro.pipeline.parallel import (
     assemble_jobs,
     parallel_ingest_jobs,
     parse_blocks,
 )
+from tests.reference_etl import reference_ingest
 
 T0 = 1_443_657_600  # 2015-10-01
 
@@ -125,7 +125,7 @@ def test_streaming_and_batch_accumulate_identically(storm_store):
 
 def test_byte_identical_under_reboot_any_worker_count(storm_store):
     reference = Database()
-    ref_result = ingest_jobs(storm_store, None, reference)
+    ref_result = reference_ingest(storm_store, None, reference)
     assert ref_result.ingested == 2
     ref_dump = dump(reference)
 

@@ -24,7 +24,7 @@ WAVE = (
 )
 
 
-def _run(shards, coalesce=0):
+def _run(shards):
     sess = monitoring_session(nodes=8, seed=47, interval=600)
     if shards is None:
         pipe = StreamPipeline(
@@ -33,7 +33,7 @@ def _run(shards, coalesce=0):
     else:
         pipe = ShardedStreamPipeline(
             sess.broker, shards=shards, jobs=sess.cluster.jobs,
-            types=["mdc"], coalesce_points=coalesce,
+            types=["mdc"],
         )
     pipe.start()
     for user, app, nodes in WAVE:
@@ -115,47 +115,6 @@ def test_partitioning_actually_happened(runs):
     for k, store in three._shardset.stores.items():
         for s in store.select("stats"):
             assert three.map.place(s.tags["host"]) == k
-
-
-def test_coalesced_writes_change_no_result(runs):
-    """Per-shard write coalescing is invisible to every reader.
-
-    Same traffic, ``shards=3`` with a 512-point coalesce window: the
-    buffered columns land at window fills and barriers instead of one
-    ``put_many`` per delivery, but counts, flags, ledger and every
-    TSDB read must match the uncoalesced run bit-for-bit.
-    """
-    (plain, c_plain), _, (three, _) = runs
-    coal, c_coal = _run(3, coalesce=512)
-    assert coal.samples == plain.samples
-    assert coal.points == plain.points
-    assert coal.n_points() == plain.tsdb.n_points()
-    assert coal.n_series() == plain.tsdb.n_series()
-    assert sorted(c_coal) == sorted(c_plain)
-    for jid in c_plain:
-        assert sorted(c_coal[jid].final_flags) == \
-            sorted(c_plain[jid].final_flags), jid
-    assert sorted(
-        (a.rule, a.jobid, a.fired_at) for a in coal.alerts.ledger
-    ) == sorted(
-        (a.rule, a.jobid, a.fired_at) for a in three.alerts.ledger
-    )
-    for kw in (
-        {"group_by": ("host",)},
-        {"rate": True, "group_by": ("host", "event")},
-    ):
-        want = query(plain.tsdb, "stats", **kw)
-        got = coal.query("stats", **kw)
-        assert len(got.series) == len(want.series), kw
-        for a, b in zip(got.series, want.series):
-            assert a.tags == b.tags, kw
-            assert np.array_equal(a.times, b.times), kw
-            assert np.array_equal(
-                np.asarray(a.values).view(np.uint64),
-                np.asarray(b.values).view(np.uint64),
-            ), kw
-    assert [repr(s) for s in coal.window_stats("stats")] == \
-        [repr(s) for s in window_stats(plain.tsdb, "stats")]
 
 
 def test_live_cache_invalidation_tracks_feed_writes(runs):

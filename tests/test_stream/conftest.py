@@ -18,7 +18,7 @@ from repro import monitoring_session, obs
 from repro.cluster import JobSpec, make_app
 from repro.core.daemon import EXCHANGE
 from repro.db import Database
-from repro.pipeline import ingest_jobs
+from repro.pipeline import parallel_ingest_jobs
 from repro.pipeline.records import JobRecord
 from repro.stream import StreamPipeline
 
@@ -93,7 +93,7 @@ def soak_run():
     }
 
     db = Database()
-    result = ingest_jobs(sess.store, sess.cluster.jobs, db)
+    result = parallel_ingest_jobs(sess.store, sess.cluster.jobs, db)
     JobRecord.bind(db)
     batch_flags = {
         r.jobid: sorted(r.flags or []) for r in JobRecord.objects.all()

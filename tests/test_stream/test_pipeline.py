@@ -1,5 +1,7 @@
 """StreamPipeline: live TSDB feed, wiring guards, portal integration."""
 
+import typing
+
 import pytest
 
 from repro import monitoring_session, obs
@@ -79,6 +81,10 @@ def test_pipeline_counts_are_consistent(mirror_run):
     assert stream.samples > 0
     assert stream.points == stream.tsdb.n_points()
     assert stream.last_seen > 0
+    # the write path's annotations resolve (every name they use is
+    # imported), so introspection tools can read them
+    hints = typing.get_type_hints(StreamPipeline._write_batch)
+    assert hints["return"] is int
 
 
 def test_corrupt_delivery_is_quarantined_not_fatal():
